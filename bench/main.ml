@@ -536,12 +536,15 @@ let schema_errors schema v =
   | _ -> ());
   List.rev !errs
 
-let obs_schema_path () =
-  if Sys.file_exists "bench/BENCH_obs.schema.json" then
-    "bench/BENCH_obs.schema.json"
-  else "BENCH_obs.schema.json"
-
-let validate_against ~schema_path path =
+(* Validate [path] against the schema of bench section [section]: the
+   checked-in [bench/BENCH_<section>.schema.json] when run from the
+   repo root, else the same file name in the cwd. *)
+let validate ~section path =
+  let schema_path =
+    let in_tree = Filename.concat "bench" (Bench_sections.schema_file section) in
+    if Sys.file_exists in_tree then in_tree
+    else Bench_sections.schema_file section
+  in
   let parse_or_die what p =
     match J.parse (read_file p) with
     | Ok v -> v
@@ -556,8 +559,6 @@ let validate_against ~schema_path path =
   | errs ->
       List.iter (fun e -> Printf.eprintf "%s: %s\n" path e) errs;
       exit 1
-
-let validate_obs path = validate_against ~schema_path:(obs_schema_path ()) path
 
 (* ------------------------------------------------------------------ *)
 (* Adaptive-replanning bench: one drifting trace (two correlation
@@ -714,13 +715,6 @@ let write_adapt_json path =
   close_out oc;
   Printf.printf "wrote adaptive-replanning results to %s\n" path
 
-let adapt_schema_path () =
-  if Sys.file_exists "bench/BENCH_adapt.schema.json" then
-    "bench/BENCH_adapt.schema.json"
-  else "BENCH_adapt.schema.json"
-
-let validate_adapt path = validate_against ~schema_path:(adapt_schema_path ()) path
-
 (* ------------------------------------------------------------------ *)
 (* Multicore bench: the garden5 workload fanned across a 4-domain pool
    versus run sequentially, plus a portfolio race kernel. BENCH_par.json
@@ -736,7 +730,7 @@ let validate_adapt path = validate_against ~schema_path:(adapt_schema_path ()) p
 let par_jobs = 4
 let par_queries = 24
 
-let write_par_json ?(races = 1) path =
+let write_par_json ~races path =
   let module Pe = Acq_par.Parallel_experiment in
   let module Pf = Acq_par.Portfolio in
   let module P = Acq_core.Planner in
@@ -809,140 +803,6 @@ let write_par_json ?(races = 1) path =
   in
   let work_speedup = Pe.work_speedup par in
   let units = Pe.work_units par.Pe.report in
-  (* Sharded data-plane kernels: wall-clock (not work-balance)
-     timings for the domain-sharded window ingest, dense backend
-     build, and tier-parallel Exhaustive DP, each with an identity
-     check against its sequential/unsharded counterpart. The wall
-     floor is enforced only when ACQP_TEST_DOMAINS >= 4 and the
-     machine actually has >= 4 cores — wall clocks on a saturated 1-
-     or 2-core box measure scheduler contention, not the data
-     plane. *)
-  let shard_domains =
-    match Sys.getenv_opt "ACQP_TEST_DOMAINS" with
-    | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 4)
-    | None -> 4
-  in
-  let cores = Domain.recommended_domain_count () in
-  let wall_floor = 1.5 in
-  let wall_gate_enforced = shard_domains >= 4 && cores >= 4 in
-  (* Best of 3: shared-runner wall clocks are noisy strictly upward. *)
-  let time_best f =
-    let best = ref infinity in
-    let result = ref None in
-    for _ = 1 to 3 do
-      let t0 = Unix.gettimeofday () in
-      let r = f () in
-      let ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-      if ms < !best then best := ms;
-      result := Some r
-    done;
-    (Option.get !result, !best)
-  in
-  let kernel name seqf parf ident =
-    let rs, seq_ms = time_best seqf in
-    let rp, par_ms = time_best parf in
-    let sp = if par_ms > 0.0 then seq_ms /. par_ms else 0.0 in
-    (name, seq_ms, par_ms, sp, ident rs rp)
-  in
-  let shard_kernels =
-    Acq_par.Domain_pool.with_pool ~domains:shard_domains (fun pool ->
-        let fanout = Acq_par.Domain_pool.fanout pool in
-        let module Sh = Acq_prob.Sharded in
-        let module B = Acq_prob.Backend in
-        let k = shard_domains in
-        (* garden5 rows cycled into a big batch: ingest + merge. *)
-        let g5 = garden5 in
-        let g5n = Acq_data.Dataset.nrows g5 in
-        let cap = 10_000 * k in
-        let batch =
-          Array.init (15_000 * k) (fun i -> Acq_data.Dataset.row g5 (i mod g5n))
-        in
-        let seq_win = Sh.create schema ~capacity:cap ~shards:1 in
-        let par_win = Sh.create schema ~capacity:cap ~shards:k in
-        let ds_rows ds =
-          List.init (Acq_data.Dataset.nrows ds) (fun r ->
-              Array.to_list (Acq_data.Dataset.row ds r))
-        in
-        let ingest_k =
-          kernel "sharded_ingest"
-            (fun () ->
-              Sh.clear seq_win;
-              Sh.ingest seq_win batch;
-              seq_win)
-            (fun () ->
-              Sh.clear par_win;
-              Sh.ingest ~fanout par_win batch;
-              par_win)
-            (fun a b ->
-              Sh.marginals a = Sh.marginals b
-              && ds_rows (Sh.to_dataset a) = ds_rows (Sh.to_dataset ~fanout b))
-        in
-        (* lab-coarse rows (small domains, dense-table friendly) cycled
-           into both windows; the dense build scans each shard into a
-           partial joint table. *)
-        let lc = Lazy.force K.lab_coarse in
-        let lc_schema = Acq_data.Dataset.schema lc in
-        let lc_n = Acq_data.Dataset.nrows lc in
-        let lc_cap = 8_000 * k in
-        let lc_seq = Sh.create lc_schema ~capacity:lc_cap ~shards:1 in
-        let lc_par = Sh.create lc_schema ~capacity:lc_cap ~shards:k in
-        for i = 0 to (2 * lc_cap) - 1 do
-          let row = Acq_data.Dataset.row lc (i mod lc_n) in
-          Sh.push lc_seq row;
-          Sh.push lc_par row
-        done;
-        let dense_spec = { B.kind = B.Dense; memoize = false } in
-        let probe_queries = List.map (K.lab_query lc) [ 93; 94; 95 ] in
-        let probe est =
-          List.concat_map
-            (fun q ->
-              List.init
-                (Acq_plan.Query.n_predicates q)
-                (fun j -> B.pred_prob est (Acq_plan.Query.predicate q j)))
-            probe_queries
-        in
-        let backend_k =
-          kernel "dense_backend_build"
-            (fun () -> Sh.backend ~spec:dense_spec lc_seq)
-            (fun () -> Sh.backend ~spec:dense_spec ~fanout lc_par)
-            (fun a b -> probe a = probe b)
-        in
-        (* Tier-parallel Exhaustive: the fig8a problem, root DP tier
-           fanned one branch attribute per task. *)
-        let module P = Acq_core.Planner in
-        let dp_q = K.lab_query lc 93 in
-        let dp_opts =
-          {
-            K.opts with
-            split_points_per_attr = 2;
-            exhaustive_budget = 5_000_000;
-          }
-        in
-        let dp_costs = Acq_data.Schema.costs lc_schema in
-        let dp_est = B.of_dataset lc in
-        let dp_canon (r : P.result) =
-          (Acq_plan.Printer.to_string dp_q r.P.plan, r.P.est_cost)
-        in
-        let dp_k =
-          kernel "tier_parallel_dp"
-            (fun () ->
-              P.plan_with_backend ~options:dp_opts P.Exhaustive dp_q
-                ~costs:dp_costs dp_est)
-            (fun () ->
-              P.plan_with_backend ~options:dp_opts ~fanout P.Exhaustive dp_q
-                ~costs:dp_costs dp_est)
-            (fun a b -> dp_canon a = dp_canon b)
-        in
-        [ ingest_k; backend_k; dp_k ])
-  in
-  let best_wall =
-    List.fold_left (fun acc (_, _, _, sp, _) -> Float.max acc sp) 0.0
-      shard_kernels
-  in
-  let shard_identical =
-    List.for_all (fun (_, _, _, _, id) -> id) shard_kernels
-  in
-  let wall_gate_pass = (not wall_gate_enforced) || best_wall >= wall_floor in
   let doc =
     J.Obj
       [
@@ -1000,30 +860,6 @@ let write_par_json ?(races = 1) path =
                          ])
                      first_race.Pf.arms) );
             ] );
-        ( "sharded",
-          J.Obj
-            [
-              ("domains", J.Num (float_of_int shard_domains));
-              ("machine_cores", J.Num (float_of_int cores));
-              ("wall_floor", J.Num wall_floor);
-              ("wall_gate_enforced", J.Bool wall_gate_enforced);
-              ("wall_gate_pass", J.Bool wall_gate_pass);
-              ("best_wall_speedup", J.Num best_wall);
-              ("identical", J.Bool shard_identical);
-              ( "kernels",
-                J.Arr
-                  (List.map
-                     (fun (name, seq_ms, par_ms, sp, id) ->
-                       J.Obj
-                         [
-                           ("name", J.Str name);
-                           ("sequential_wall_ms", J.Num seq_ms);
-                           ("parallel_wall_ms", J.Num par_ms);
-                           ("wall_speedup", J.Num sp);
-                           ("identical", J.Bool id);
-                         ])
-                     shard_kernels) );
-            ] );
         ("pool_metrics", Acq_obs.Metrics.to_json reg);
         ( "summary",
           J.Obj
@@ -1031,9 +867,7 @@ let write_par_json ?(races = 1) path =
               ("fanout_speedup", J.Num work_speedup);
               ("speedup_kind", J.Str "work-balance");
               ("wall_speedup", J.Num wall_speedup);
-              ("sharded_wall_speedup", J.Num best_wall);
-              ("sharded_wall_gate_pass", J.Bool wall_gate_pass);
-              ("deterministic", J.Bool (deterministic && shard_identical));
+              ("deterministic", J.Bool deterministic);
             ] );
       ]
   in
@@ -1043,12 +877,8 @@ let write_par_json ?(races = 1) path =
   close_out oc;
   Printf.printf
     "wrote multicore results to %s (work speedup %.2fx on %d domains, wall \
-     %.2fx, sharded wall %.2fx on %d domains [gate %s], deterministic=%b)\n"
-    path work_speedup par_jobs wall_speedup best_wall shard_domains
-    (if not wall_gate_enforced then "waived: <4 domains or cores"
-     else if wall_gate_pass then "pass"
-     else "FAIL")
-    (deterministic && shard_identical)
+     %.2fx on this machine, deterministic=%b)\n"
+    path work_speedup par_jobs wall_speedup deterministic
 
 (* ------------------------------------------------------------------ *)
 (* Probability-backend bench: (1) the packed dense table's O(1)
@@ -1223,20 +1053,6 @@ let write_prob_json path =
      closure path, memo hit rate %.2f, plans identical=%b)\n"
     path speedup hit_rate identical
 
-let prob_schema_path () =
-  if Sys.file_exists "bench/BENCH_prob.schema.json" then
-    "bench/BENCH_prob.schema.json"
-  else "BENCH_prob.schema.json"
-
-let validate_prob path = validate_against ~schema_path:(prob_schema_path ()) path
-
-let par_schema_path () =
-  if Sys.file_exists "bench/BENCH_par.schema.json" then
-    "bench/BENCH_par.schema.json"
-  else "BENCH_par.schema.json"
-
-let validate_par path = validate_against ~schema_path:(par_schema_path ()) path
-
 (* ------------------------------------------------------------------ *)
 (* Compiled-executor bench: the garden5 workload's Eq.-4 cost sweeps
    run on the tree interpreter vs the compiled flat automaton over a
@@ -1379,14 +1195,6 @@ let write_exec_json path =
     "wrote compiled-executor results to %s (compiled %.1fx over tree on \
      garden5, %.2e vs %.2e tuples/sec, identical=%b)\n"
     path speedup compiled_tps tree_tps identical
-
-let exec_schema_path () =
-  if Sys.file_exists "bench/BENCH_exec.schema.json" then
-    "bench/BENCH_exec.schema.json"
-  else "BENCH_exec.schema.json"
-
-let validate_exec path =
-  validate_against ~schema_path:(exec_schema_path ()) path
 
 (* ------------------------------------------------------------------ *)
 (* Audit bench: three claims, each pinned by the checked-in schema
@@ -1690,14 +1498,6 @@ let write_audit_json path =
     path compiled_slowdown tree_slowdown identical indep_err cl_err dense_err
     ordering_holds regret.Acq_audit.Regret.regret_ratio
 
-let audit_schema_path () =
-  if Sys.file_exists "bench/BENCH_audit.schema.json" then
-    "bench/BENCH_audit.schema.json"
-  else "BENCH_audit.schema.json"
-
-let validate_audit path =
-  validate_against ~schema_path:(audit_schema_path ()) path
-
 (* ------------------------------------------------------------------ *)
 (* Serving-daemon bench: the acqpd stack (engine + select-loop server
    + load generator) co-driven in one process over a real Unix socket.
@@ -1897,14 +1697,6 @@ let write_serve_json path =
     "wrote serving-daemon results to %s (%d concurrent sessions, %.0f ping \
      rps, identity=%b, clean_drain=%b)\n"
     path !max_live ping.Sv.Loadgen.rps run_identity clean_drain
-
-let serve_schema_path () =
-  if Sys.file_exists "bench/BENCH_serve.schema.json" then
-    "bench/BENCH_serve.schema.json"
-  else "BENCH_serve.schema.json"
-
-let validate_serve path =
-  validate_against ~schema_path:(serve_schema_path ()) path
 
 (* ------------------------------------------------------------------ *)
 (* Sampling bench: the statistical guarantees of the sampled backend
@@ -2153,14 +1945,6 @@ let write_sample_json path =
      cold ratio %.3f, %d samples drawn, identity=%b)\n"
     path coverage_rate holds_rate cost_ratio samples_drawn run_identity
 
-let sample_schema_path () =
-  if Sys.file_exists "bench/BENCH_sample.schema.json" then
-    "bench/BENCH_sample.schema.json"
-  else "BENCH_sample.schema.json"
-
-let validate_sample path =
-  validate_against ~schema_path:(sample_schema_path ()) path
-
 let run_micro () =
   print_endline "\n== Bechamel micro-benchmarks (one kernel per experiment) ==";
   let cfg =
@@ -2199,42 +1983,41 @@ let run_micro () =
     K.tests;
   Acq_util.Tbl.print t
 
+(* The writer of section [section]'s [BENCH_<section>.json]; [races]
+   is the portfolio race count of the par section. *)
+let writer ~races = function
+  | "obs" -> write_obs_json
+  | "adapt" -> write_adapt_json
+  | "par" -> write_par_json ~races
+  | "prob" -> write_prob_json
+  | "exec" -> write_exec_json
+  | "audit" -> write_audit_json
+  | "serve" -> write_serve_json
+  | "sample" -> write_sample_json
+  | section -> invalid_arg ("no bench section " ^ section)
+
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let full = List.mem "--full" args in
   let micro_only = List.mem "--micro" args in
   let no_micro = List.mem "--no-micro" args in
   let list = List.mem "--list" args in
-  let obs_smoke = List.mem "--obs-smoke" args in
-  let adapt_smoke = List.mem "--adapt-smoke" args in
-  let par_smoke = List.mem "--par-smoke" args in
-  let prob_smoke = List.mem "--prob-smoke" args in
-  let exec_smoke = List.mem "--exec-smoke" args in
-  let audit_smoke = List.mem "--audit-smoke" args in
-  let serve_smoke = List.mem "--serve-smoke" args in
-  let sample_smoke = List.mem "--sample-smoke" args in
-  let find_target flag =
-    let rec find = function
-      | f :: path :: _ when f = flag -> Some path
-      | _ :: rest -> find rest
+  let sections = Bench_sections.all in
+  let validate_target =
+    let rec find section = function
+      | f :: path :: _ when f = "--validate-" ^ section -> Some (section, path)
+      | _ :: rest -> find section rest
       | [] -> None
     in
-    find args
+    List.find_map (fun section -> find section args) sections
   in
-  let validate_target = find_target "--validate-obs" in
-  let validate_adapt_target = find_target "--validate-adapt" in
-  let validate_par_target = find_target "--validate-par" in
-  let validate_prob_target = find_target "--validate-prob" in
-  let validate_exec_target = find_target "--validate-exec" in
-  let validate_audit_target = find_target "--validate-audit" in
-  let validate_serve_target = find_target "--validate-serve" in
-  let validate_sample_target = find_target "--validate-sample" in
+  let smoke =
+    List.find_opt (fun section -> List.mem ("--" ^ section ^ "-smoke") args)
+      sections
+  in
   let ids =
     let rec keep = function
-      | ( "--validate-obs" | "--validate-adapt" | "--validate-par"
-        | "--validate-prob" | "--validate-exec" | "--validate-audit"
-        | "--validate-serve" | "--validate-sample" )
-        :: _ :: rest ->
+      | f :: _ :: rest when String.starts_with ~prefix:"--validate-" f ->
           keep rest
       | a :: rest ->
           if String.length a > 1 && a.[0] = '-' then keep rest
@@ -2249,82 +2032,27 @@ let () =
         Printf.printf "%-14s %s\n" e.Acq_workload.Registry.id
           e.Acq_workload.Registry.title)
       Acq_workload.Registry.all;
-    print_endline
-      "flags: --full --micro --no-micro --obs-smoke --validate-obs FILE \
-       --adapt-smoke --validate-adapt FILE --par-smoke --validate-par FILE \
-       --prob-smoke --validate-prob FILE --exec-smoke --validate-exec FILE \
-       --audit-smoke --validate-audit FILE --serve-smoke --validate-serve \
-       FILE --sample-smoke --validate-sample FILE --list (every non-list \
-       run also writes BENCH_planner_stats.json, BENCH_obs.json, \
-       BENCH_adapt.json, BENCH_par.json, BENCH_prob.json, BENCH_exec.json, \
-       BENCH_audit.json, BENCH_serve.json, and BENCH_sample.json)"
+    Printf.printf
+      "flags: --full --micro --no-micro --list, and per section S in {%s}: \
+       --S-smoke and --validate-S FILE (every non-list run also writes \
+       BENCH_planner_stats.json and BENCH_S.json for every section)\n"
+      (String.concat ", " sections)
   end
   else
-    match
-      ( validate_target,
-        validate_adapt_target,
-        validate_par_target,
-        validate_prob_target,
-        validate_exec_target,
-        validate_audit_target,
-        validate_serve_target,
-        validate_sample_target )
-    with
-    | Some path, _, _, _, _, _, _, _ -> validate_obs path
-    | None, Some path, _, _, _, _, _, _ -> validate_adapt path
-    | None, None, Some path, _, _, _, _, _ -> validate_par path
-    | None, None, None, Some path, _, _, _, _ -> validate_prob path
-    | None, None, None, None, Some path, _, _, _ -> validate_exec path
-    | None, None, None, None, None, Some path, _, _ -> validate_audit path
-    | None, None, None, None, None, None, Some path, _ -> validate_serve path
-    | None, None, None, None, None, None, None, Some path ->
-        validate_sample path
-    | None, None, None, None, None, None, None, None ->
-        if obs_smoke then begin
-          write_obs_json "BENCH_obs.json";
-          validate_obs "BENCH_obs.json"
-        end
-        else if adapt_smoke then begin
-          write_adapt_json "BENCH_adapt.json";
-          validate_adapt "BENCH_adapt.json"
-        end
-        else if par_smoke then begin
-          write_par_json ~races:20 "BENCH_par.json";
-          validate_par "BENCH_par.json"
-        end
-        else if prob_smoke then begin
-          write_prob_json "BENCH_prob.json";
-          validate_prob "BENCH_prob.json"
-        end
-        else if exec_smoke then begin
-          write_exec_json "BENCH_exec.json";
-          validate_exec "BENCH_exec.json"
-        end
-        else if audit_smoke then begin
-          write_audit_json "BENCH_audit.json";
-          validate_audit "BENCH_audit.json"
-        end
-        else if serve_smoke then begin
-          write_serve_json "BENCH_serve.json";
-          validate_serve "BENCH_serve.json"
-        end
-        else if sample_smoke then begin
-          write_sample_json "BENCH_sample.json";
-          validate_sample "BENCH_sample.json"
-        end
-        else begin
-          if not micro_only then
-            Acq_workload.Registry.run_selected
-              { Acq_workload.Figures.full; exec = Acq_exec.Mode.Tree }
-              ids;
-          write_stats_json "BENCH_planner_stats.json";
-          write_obs_json "BENCH_obs.json";
-          write_adapt_json "BENCH_adapt.json";
-          write_par_json "BENCH_par.json";
-          write_prob_json "BENCH_prob.json";
-          write_exec_json "BENCH_exec.json";
-          write_audit_json "BENCH_audit.json";
-          write_serve_json "BENCH_serve.json";
-          write_sample_json "BENCH_sample.json";
-          if micro_only || (ids = [] && not no_micro) then run_micro ()
-        end
+    match (validate_target, smoke) with
+    | Some (section, path), _ -> validate ~section path
+    | None, Some section ->
+        let path = Bench_sections.result_file section in
+        writer ~races:20 section path;
+        validate ~section path
+    | None, None ->
+        if not micro_only then
+          Acq_workload.Registry.run_selected
+            { Acq_workload.Figures.full; exec = Acq_exec.Mode.Tree }
+            ids;
+        write_stats_json "BENCH_planner_stats.json";
+        List.iter
+          (fun section ->
+            writer ~races:1 section (Bench_sections.result_file section))
+          sections;
+        if micro_only || (ids = [] && not no_micro) then run_micro ()

@@ -52,7 +52,7 @@ let tcp_arg =
 
 let serve_cmd =
   let run kind rows seed socket tcp max_conns max_sessions quota replan_budget
-      ticks tick_domains =
+      ticks =
     let limits =
       {
         Serve.Limits.default with
@@ -73,18 +73,7 @@ let serve_cmd =
             exit 1
         | _ ->
             let spec = { Serve.Source.kind; rows; seed } in
-            (* One worker pool for the lifetime of the daemon: each
-               tick fans execute/observe one task per subscribed
-               session. 0 or 1 domains = sequential, no pool. *)
-            let fanout, shards =
-              if tick_domains > 1 then
-                let pool =
-                  Acq_par.Domain_pool.create ~domains:tick_domains ()
-                in
-                (Acq_par.Domain_pool.fanout pool, tick_domains)
-              else (Acq_util.Fanout.sequential, 1)
-            in
-            let engine = Serve.Engine.create ~limits ~fanout ~shards spec in
+            let engine = Serve.Engine.create ~limits spec in
             let listeners = ref [] in
             (match socket with
             | Some path ->
@@ -151,17 +140,6 @@ let serve_cmd =
       & info [ "ticks-per-poll" ] ~docv:"N"
           ~doc:"Live-trace tuples served to subscriptions per loop turn.")
   in
-  let tick_domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "tick-domains" ] ~docv:"K"
-          ~doc:
-            "Worker domains for the serving tick: each live tuple's \
-             execute/observe phase fans one task per subscribed session, \
-             and the tenant/subscription tables are split into K shards. 1 \
-             (default) serves sequentially. Outcomes and events are \
-             identical either way.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -169,8 +147,7 @@ let serve_cmd =
           sockets; SIGTERM drains gracefully.")
     Term.(
       const run $ dataset_arg $ rows_arg $ seed_arg $ socket_arg $ tcp_arg
-      $ max_conns_arg $ max_sessions_arg $ quota_arg $ replan_arg $ ticks_arg
-      $ tick_domains_arg)
+      $ max_conns_arg $ max_sessions_arg $ quota_arg $ replan_arg $ ticks_arg)
 
 (* loadgen *)
 

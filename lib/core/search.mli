@@ -9,7 +9,7 @@
     counters that {!stats} snapshots. Because no planner touches
     shared mutable state anymore, interleaved and repeated [plan]
     calls are deterministic and independent — the prerequisite for
-    parallel or sharded planning.
+    parallel planning.
 
     The type parameter is the memo-entry payload; planners that keep
     no memo (everything except {!Exhaustive}) are polymorphic in it. *)
@@ -50,7 +50,7 @@ type stats = {
   memo_hits : int;  (** memo-table lookups answered from cache *)
   estimator_calls : int;
       (** probability-oracle invocations, counted by
-          {!wrap_estimator} *)
+          {!wrap_backend} *)
   plan_size : int;  (** encoded plan bytes, ζ(P); 0 until known *)
   wall_ms : float;  (** wall-clock time since {!create} *)
   certificate : certificate option;
@@ -81,25 +81,6 @@ val solved : _ t -> unit
 (** Record one expanded search node; raises {!Budget_exceeded} or
     {!Deadline_exceeded} when a limit is hit. *)
 
-val fork : 'memo t -> 'memo t
-(** A child context for one parallel search branch: fresh (empty)
-    memo table, zeroed counters, no telemetry, and the parent's {e
-    remaining} budget and deadline. Branches forked from the same
-    parent share no mutable state, so they may run on different
-    domains; each may individually spend up to the parent's remaining
-    budget — the cumulative check happens at {!absorb}, which makes
-    the overrun deterministic (it depends only on merged totals,
-    never on scheduling). *)
-
-val absorb : _ t -> _ t -> unit
-(** [absorb parent child] folds the child's effort counters into the
-    parent, then re-checks the parent's budget and deadline — raising
-    {!Budget_exceeded} / {!Deadline_exceeded} exactly as {!solved}
-    would. Absorb children in a fixed (submission) order so the merged
-    totals, and hence any overrun, are deterministic. The child's memo
-    table is {e not} merged here; the caller owns that (payload
-    semantics differ per planner). *)
-
 val hit : _ t -> unit
 (** Record one memo-table hit. *)
 
@@ -127,16 +108,12 @@ val trace : _ t -> (unit -> string) -> unit
     one was installed). The thunk is only forced when the context's
     telemetry is live. *)
 
-val wrap_estimator : _ t -> Acq_prob.Estimator.t -> Acq_prob.Estimator.t
-(** Counting decorator: every probability query against the returned
-    estimator (and against any estimator derived from it by
-    restriction) bumps the context's [estimator_calls] counter. The
-    underlying estimator is not mutated and stays reusable across
-    contexts. Legacy closure-record variant of {!wrap_backend}. *)
-
 val wrap_backend : _ t -> Acq_prob.Backend.t -> Acq_prob.Backend.t
-(** Same accounting over a packed backend: one tick per query and per
-    restriction, recursively ({!Acq_prob.Backend.counting}). *)
+(** Counting decorator: every probability query against the returned
+    backend, and every restriction (recursively), bumps the context's
+    [estimator_calls] counter ({!Acq_prob.Backend.counting}). The
+    underlying backend is not mutated and stays reusable across
+    contexts. *)
 
 val stats : ?plan_size:int -> ?certificate:certificate -> _ t -> stats
 (** Snapshot the counters; [plan_size] defaults to 0 when the caller

@@ -155,14 +155,6 @@ let map_array t ~f a =
     (function Ok v -> v | Error e -> raise e)
     outcomes
 
-let parallel_map t f a = map_array t ~f:(fun _ x -> f x) a
-
-let fanout t =
-  {
-    Acq_util.Fanout.concurrent = Array.length t.deques > 1;
-    map = (fun f a -> parallel_map t f a);
-  }
-
 type stats = {
   domains : int;
   submitted : int;

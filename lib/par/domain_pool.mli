@@ -66,22 +66,6 @@ val map_array : t -> f:(int -> 'a -> 'b) -> 'a array -> 'b array
     lowest-index failing task — after every task has finished, so no
     work is abandoned mid-flight. *)
 
-val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
-(** Scoped fan-out: one task per element, awaited before returning,
-    results in input order, lowest-index exception re-raised after
-    every task finished — {!map_array} without the index. The call is
-    {e scoped}: no task it spawned outlives it. Like every await, it
-    must not be called from inside a task of the same pool. *)
-
-val fanout : t -> Acq_util.Fanout.t
-(** The pool as a first-class {!Acq_util.Fanout.t} — the handle the
-    layers below [acq_par] (sharded windows, the Exhaustive DP tiers,
-    the adaptive supervisor) accept without depending on this
-    library. [map] is {!parallel_map}; [concurrent] is true whenever
-    the pool has more than one domain. Subject to the same
-    no-await-from-a-task rule: never hand a pool's fanout to work
-    running on that pool. *)
-
 type stats = {
   domains : int;
   submitted : int;  (** tasks accepted by {!submit} *)

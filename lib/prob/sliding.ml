@@ -98,11 +98,6 @@ let to_dataset t =
       t.cached <- Some ds;
       ds
 
-let blit_row t i dst pos =
-  let n = Array.length t.domains in
-  let start = if t.size = t.capacity then t.head else 0 in
-  Array.blit t.ring.((start + i) mod t.capacity) 0 dst pos n
-
 let identity_ids t =
   if Array.length t.ids <> t.size then t.ids <- Array.init t.size (fun i -> i);
   t.ids
@@ -127,32 +122,29 @@ let backend ?telemetry ?(spec = Backend.default_spec) t =
 
 let estimator t = Estimator.empirical (to_dataset t)
 
-let drift_of_counts ~counts ~size ~reference ~rows =
-  let n = Array.length counts in
+let drift_marginals t ~reference ~rows =
+  let n = Array.length t.domains in
   if Array.length reference <> n then
-    invalid_arg "Sliding.drift_of_counts: arity mismatch";
+    invalid_arg "Sliding.drift_marginals: arity mismatch";
   let ref_rows = float_of_int rows in
-  let win_rows = float_of_int size in
+  let win_rows = float_of_int t.size in
   if ref_rows = 0.0 || win_rows = 0.0 then 0.0
   else begin
     let total = ref 0.0 in
     for a = 0 to n - 1 do
       (* Total variation = half the L1 distance between marginals. *)
       let tv = ref 0.0 in
-      for v = 0 to Array.length counts.(a) - 1 do
+      for v = 0 to t.domains.(a) - 1 do
         tv :=
           !tv
           +. Float.abs
-               ((float_of_int counts.(a).(v) /. win_rows)
+               ((float_of_int t.counts.(a).(v) /. win_rows)
                -. (float_of_int reference.(a).(v) /. ref_rows))
       done;
       total := !total +. (!tv /. 2.0)
     done;
     !total /. float_of_int n
   end
-
-let drift_marginals t ~reference ~rows =
-  drift_of_counts ~counts:t.counts ~size:t.size ~reference ~rows
 
 let marginals_of ds =
   let domains = Acq_data.Schema.domains (Acq_data.Dataset.schema ds) in

@@ -240,6 +240,13 @@ let test_engine_admission () =
   | Ok _ -> Alcotest.fail "draining engine must refuse SUBSCRIBE"
   | Error (c, m) -> Alcotest.failf "expected 503, got %d %s" c m
 
+(* Tuples the engine's sessions executed, from its own registry. *)
+let executor_tuples engine =
+  Option.value ~default:0.0
+    (Acq_obs.Metrics.find
+       (Acq_obs.Metrics.snapshot (Engine.registry engine))
+       "acqp_executor_tuples_total")
+
 let test_engine_subscribe_tick () =
   let engine = Engine.create small_spec in
   let sub_id =
@@ -261,6 +268,10 @@ let test_engine_subscribe_tick () =
       (Engine.tick engine)
   done;
   Alcotest.(check bool) "events flowed" true (!events > 0);
+  (* Every tick executes one tuple per live subscription, and each
+     execution reaches the engine's registry: 10 ticks x 1. *)
+  Alcotest.(check (float 0.0)) "executor tuples = ticks x subs" 10.0
+    (executor_tuples engine);
   (* Only the owning connection may unsubscribe. *)
   (match Engine.unsubscribe engine ~tenant:"t0" ~owner:99 sub_id with
   | Error (404, _) -> ()
@@ -275,6 +286,11 @@ let test_engine_subscribe_tick () =
   (* drop_owner releases everything a disconnecting connection held. *)
   ignore (Engine.subscribe engine ~tenant:"t0" ~owner:3 Protocol.no_opts chatty);
   ignore (Engine.subscribe engine ~tenant:"t0" ~owner:3 Protocol.no_opts chatty);
+  for _ = 1 to 5 do
+    ignore (Engine.tick engine : (int * int * string) list)
+  done;
+  Alcotest.(check (float 0.0)) "executor tuples = ticks x subs" 20.0
+    (executor_tuples engine);
   Alcotest.(check int) "dropped" 2 (Engine.drop_owner engine 3);
   Alcotest.(check int) "all released" 0 (Engine.live_subscriptions engine)
 

@@ -276,10 +276,7 @@ module K = struct
             let b =
               Acq_exec.Batch.create ~costs (Acq_exec.Compile.compile q p)
             in
-            let cols = Acq_data.Dataset.columns ds in
-            let nrows = Acq_data.Dataset.nrows ds in
-            fun () ->
-              ignore (Acq_exec.Batch.sweep_columns b cols ~nrows : float)));
+            fun () -> ignore (Acq_exec.Batch.average_cost b ds : float)));
     ]
 end
 
@@ -882,8 +879,8 @@ let write_par_json ~races path =
 
 (* ------------------------------------------------------------------ *)
 (* Probability-backend bench: (1) the packed dense table's O(1)
-   unconditioned range_prob against the seed closure path's O(rows)
-   view scan, and (2) the memo combinator's hit rate when one shared
+   unconditioned range_prob against the closure estimator's bitset
+   view, one popcount pass over rows/63 words, and (2) the memo combinator's hit rate when one shared
    memoized backend serves an exhaustive-planner workload over a
    4-attribute problem, with a differential check that memoization
    leaves every plan and expected cost byte-identical. BENCH_prob.json
@@ -1089,7 +1086,6 @@ let write_exec_json path =
         (q, (P.plan ~options P.Heuristic q ~train).P.plan))
   in
   let nrows = Acq_data.Dataset.nrows test in
-  let cols = Acq_data.Dataset.columns test in
   let batches =
     List.map
       (fun (q, p) ->
@@ -1108,7 +1104,7 @@ let write_exec_json path =
       (fun (q, p) b ->
         Float.equal
           (E.average_cost q ~costs p test)
-          (Acq_exec.Batch.sweep_columns b cols ~nrows)
+          (Acq_exec.Batch.average_cost b test)
         &&
         let ok = ref true in
         for r = 0 to min exec_parity_rows nrows - 1 do
@@ -1151,7 +1147,7 @@ let write_exec_json path =
   let compiled_tps =
     tuples_per_sec 300 (fun () ->
         List.iter
-          (fun b -> sink := !sink +. Acq_exec.Batch.sweep_columns b cols ~nrows)
+          (fun b -> sink := !sink +. Acq_exec.Batch.average_cost b test)
           batches)
   in
   let speedup = if tree_tps > 0.0 then compiled_tps /. tree_tps else 0.0 in

@@ -152,11 +152,11 @@ let exec_arg =
     & opt exec_conv Acq_exec.Mode.default
     & info [ "exec" ] ~docv:"EXEC"
         ~doc:
-          "Execution path for plan evaluation: $(b,tree) interprets the \
-           conditional-plan tree (the reference), $(b,compiled) lowers it \
-           to a flat automaton and runs batched columnar execution. Both \
-           produce byte-identical verdicts, costs, and acquisition \
-           orders; compiled is the fast path.")
+          "Execution path for plan evaluation: $(b,compiled) (the default) \
+           lowers the plan to a flat automaton and runs batched columnar \
+           execution, $(b,tree) interprets the conditional-plan tree (the \
+           reference). Both produce byte-identical verdicts, costs, and \
+           acquisition orders; compiled is the fast path.")
 
 (* A model the dataset can't support (e.g. --model dense on a joint
    domain beyond the packed-table cap) is a usage error, not a crash;

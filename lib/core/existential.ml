@@ -135,17 +135,13 @@ let inner_order_on group ~costs ~acquired view =
 
 (* Restrict a view to rows where the group's conjunction fails. *)
 let restrict_group_fails view group =
-  V.of_rows (V.dataset view)
-    (let out = ref [] in
-     V.iter view (fun r ->
-         let tuple_ok =
-           Array.for_all
-             (fun (p : Pred.t) ->
-               Pred.eval p (Acq_data.Dataset.get (V.dataset view) r p.Pred.attr))
-             group
-         in
-         if not tuple_ok then out := r :: !out);
-     Array.of_list (List.rev !out))
+  let ds = V.dataset view in
+  V.filter view (fun r ->
+      not
+        (Array.for_all
+           (fun (p : Pred.t) ->
+             Pred.eval p (Acq_data.Dataset.get ds r p.Pred.attr))
+           group))
 
 (* Greedy group ordering: next group minimizes expected-cost /
    P(success), conditioned (when [conditioned]) on every previous

@@ -29,6 +29,11 @@ val get : t -> int -> int -> int
 (** [get d row col]. Bounds are the caller's responsibility; this is
     the planner's innermost loop. *)
 
+val cells : t -> int array
+(** The row-major cell buffer itself, not a copy: cell [(r, c)] is at
+    [r * ncols d + c]. Read-only; it lets a one-pass index builder
+    scan every cell without a call per cell. *)
+
 val row : t -> int -> int array
 (** Fresh copy of one tuple. *)
 
@@ -37,9 +42,8 @@ val column : t -> int -> int array
 
 val columns : t -> int array array
 (** Structure-of-arrays view: [columns d] is one fresh [int array] per
-    attribute, so a batched executor reads column [a] with
-    [(columns d).(a).(r)] instead of striding the row-major buffer.
-    The transpose is a {e snapshot}, recomputed on every call and
+    attribute, read as [(columns d).(a).(r)]. The transpose is a
+    {e snapshot}, recomputed on every call and
     never cached: {!of_raw} datasets alias their producer's cell
     buffer (e.g. {!Acq_prob.Sliding}'s rotating materialization
     buffers), so a cached transpose could go stale without the dataset

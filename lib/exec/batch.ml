@@ -116,18 +116,17 @@ let run ?instr ?probe t ~lookup =
 let run_tuple ?instr ?probe t tuple =
   run ?instr ?probe t ~lookup:(fun at -> tuple.(at))
 
-let sweep_columns ?instr ?probe t cols ~nrows =
+let average_cost ?instr ?probe t data =
+  let nrows = Acq_data.Dataset.nrows data in
   if nrows = 0 then 0.0
   else begin
     let a = t.auto in
     let n_attrs = Array.length t.stamp in
-    if Array.length cols <> n_attrs then
-      invalid_arg "Batch.sweep_columns: column count does not match schema";
-    Array.iter
-      (fun c ->
-        if Array.length c < nrows then
-          invalid_arg "Batch.sweep_columns: column shorter than nrows")
-      cols;
+    if Acq_data.Dataset.ncols data <> n_attrs then
+      invalid_arg "Batch.average_cost: dataset arity does not match schema";
+    (* Tuples are read in place from the row-major cell buffer: tuple
+       [r] starts at [r * n_attrs]. *)
+    let cells = Acq_data.Dataset.cells data in
     (* Probe arrays are hoisted like the automaton's: the audited
        sweep stays a pair of int increments per node visit, with no
        per-tuple allocation. *)
@@ -154,7 +153,7 @@ let sweep_columns ?instr ?probe t cols ~nrows =
        stamps replace clearing, the accumulators are unboxed float
        array cells, and acquisition counters are plain ints flushed in
        one batch after the loop. *)
-    let rec go r node =
+    let rec go base node =
       if node >= 0 then begin
         let at = attr.(node) in
         t.tests <- t.tests + kind.(node);
@@ -176,13 +175,13 @@ let sweep_columns ?instr ?probe t cols ~nrows =
           in
           t.acc.(0) <- t.acc.(0) +. c
         end;
-        let v = cols.(at).(r) in
+        let v = cells.(base + at) in
         let hit = lo.(node) <= v && v <= hi.(node) in
         if probed then begin
           pvisits.(node) <- pvisits.(node) + 1;
           if hit then phits.(node) <- phits.(node) + 1
         end;
-        go r (if hit then on_hit.(node) else on_miss.(node))
+        go base (if hit then on_hit.(node) else on_miss.(node))
       end
       else node
     in
@@ -191,7 +190,7 @@ let sweep_columns ?instr ?probe t cols ~nrows =
       t.acc.(0) <- 0.0;
       t.n_acq <- 0;
       t.tests <- 0;
-      let exit = go r entry in
+      let exit = go (r * n_attrs) entry in
       if exit = Compile.accept then incr matches;
       t.acc.(1) <- t.acc.(1) +. t.acc.(0);
       (match probe with
@@ -210,8 +209,3 @@ let sweep_columns ?instr ?probe t cols ~nrows =
     Array.fill t.acq_counts 0 n_attrs 0;
     t.acc.(1) /. float_of_int nrows
   end
-
-let average_cost ?instr ?probe t data =
-  let nrows = Acq_data.Dataset.nrows data in
-  if nrows = 0 then 0.0
-  else sweep_columns ?instr ?probe t (Acq_data.Dataset.columns data) ~nrows

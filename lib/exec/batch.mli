@@ -52,29 +52,21 @@ val run_tuple :
   int array ->
   Acq_plan.Executor.outcome
 
-val sweep_columns :
-  ?instr:Acq_plan.Executor.Instr.t ->
-  ?probe:Probe.t ->
-  t ->
-  int array array ->
-  nrows:int ->
-  float
-(** Eq.-4 mean acquisition cost over [nrows] tuples of a columnar
-    snapshot (from {!Acq_data.Dataset.columns}). The caller owns the
-    snapshot so repeated sweeps over the same data pay the transpose
-    once; the loop allocates nothing per tuple. With [instr],
-    per-attribute acquisition and tuple/match counters are flushed in
-    one batch after the loop; the depth histogram is observed per
-    tuple (its granularity cannot be batched). Counter totals equal
-    the tree path's exactly. With [probe], the audited loop adds two
-    int increments per node visit against hoisted probe arrays and one
-    cost fold per tuple — still zero per-tuple allocation, so the
-    <8 KiB/sweep bound holds audited. *)
-
 val average_cost :
   ?instr:Acq_plan.Executor.Instr.t ->
   ?probe:Probe.t ->
   t ->
   Acq_data.Dataset.t ->
   float
-(** {!sweep_columns} over a fresh columnar snapshot of [data]. *)
+(** Eq.-4 mean acquisition cost over the tuples of [data], read in
+    place from its row-major cell buffer ({!Acq_data.Dataset.cells}):
+    the sweep copies nothing and allocates nothing per tuple. With
+    [instr], per-attribute acquisition and tuple/match counters are
+    flushed in one batch after the loop; the depth histogram is
+    observed per tuple (its granularity cannot be batched). Counter
+    totals equal the tree path's exactly. With [probe], the audited
+    loop adds two int increments per node visit against hoisted probe
+    arrays and one cost fold per tuple — still zero per-tuple
+    allocation, so the <8 KiB/sweep bound holds audited.
+    @raise Invalid_argument when [data]'s arity differs from the
+    automaton's. *)

@@ -1,6 +1,6 @@
 type t = Tree | Compiled
 
-let default = Tree
+let default = Compiled
 
 let all = [ Tree; Compiled ]
 

@@ -11,8 +11,9 @@
 type t = Tree | Compiled
 
 val default : t
-(** [Tree] — the reference interpreter stays the default everywhere;
-    compiled execution is opt-in per call site or via [--exec]. *)
+(** [Compiled] — byte-identical to [Tree] and faster, so it is the
+    default everywhere; the tree interpreter stays selectable per call
+    site or via [--exec=tree]. *)
 
 val all : t list
 

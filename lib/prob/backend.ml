@@ -76,10 +76,10 @@ end
    shared with the sampled backend's replay machinery). *)
 
 (* ------------------------------------------------------------------ *)
-(* Empirical: view counting. Restriction narrows the view's row-id
-   list (never copies tuple data); every query is the same count
-   ratio the original closure estimator computed, so plans built on
-   this backend are bit-identical to the seed path. *)
+(* Empirical: view counting. Restriction ANDs the view's packed row
+   set with an index mask (never copies tuple data); every query is
+   the same count ratio the original closure estimator computed, so
+   plans built on this backend are bit-identical to the seed path. *)
 
 type empirical_state = { view : View.t; cond : Cond.t }
 
@@ -618,9 +618,6 @@ end
 
 let sampled ?seed ~n ~delta ds =
   B ((module Sampled_impl), Sampled.create ?seed ~n ~delta ds)
-
-let sampled_of_view ?seed ~n ~delta view =
-  B ((module Sampled_impl), Sampled.of_view ?seed ~n ~delta view)
 
 (* ------------------------------------------------------------------ *)
 (* Counting combinator: tick once per query and per restriction,

@@ -4,7 +4,7 @@
     Every planner consumes a packed backend {!t}: a module conforming
     to {!S} paired with its state. Four implementations are provided —
     {!empirical} (view counting over the training data, restriction by
-    row-index narrowing; the paper's primary method), {!dense} (the
+    bitset narrowing; the paper's primary method), {!dense} (the
     full joint table as one flat float array with per-attribute
     prefix-sum marginals, shared un-copied across the restriction
     tree), {!chow_liu} (the Section 7 tree graphical model, with
@@ -116,7 +116,7 @@ val cond_signature : t -> string
 val empirical : Acq_data.Dataset.t -> t
 (** View counting. Bit-identical probabilities to the seed closure
     estimator ({!Estimator.of_view}); restriction narrows the view's
-    row-id list and never copies tuple data. *)
+    packed row set and never copies tuple data. *)
 
 val of_view : View.t -> t
 (** Same, over an existing view (e.g. a sliding window's rows). *)
@@ -152,10 +152,6 @@ val sampled :
     (sample doubling with restriction replay). With [n >= nrows] the
     estimates equal {!empirical}'s exactly.
     @raise Invalid_argument unless [n >= 1] and [delta] in (0,1). *)
-
-val sampled_of_view :
-  ?seed:int -> n:int -> delta:float -> View.t -> t
-(** Same over an existing view (e.g. a sliding window's rows). *)
 
 (** {1 Combinators} *)
 

@@ -45,8 +45,8 @@ let round_size ~n0 ~total round =
    becomes exactly the empirical view counter — the agreement the
    differential tests pin to 1e-9. Streams are copied before use: the
    array is shared across the whole restriction tree, and a draw must
-   not perturb a sibling's replay. Sampled positions are sorted, so
-   ascending source ids stay ascending. *)
+   not perturb a sibling's replay. The sample is a sub-view of
+   [source] over its index, which is never rebuilt. *)
 let draw_root source streams ~round ~m ~total =
   if m >= total then source
   else begin
@@ -54,7 +54,7 @@ let draw_root source streams ~round ~m ~total =
       Rng.sample_without_replacement (Rng.copy streams.(round)) m total
     in
     Array.sort compare pos;
-    View.of_rows (View.dataset source) (Array.map (View.row_id source) pos)
+    View.select source pos
   end
 
 let replay view trail =

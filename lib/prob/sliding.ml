@@ -12,7 +12,6 @@ type t = {
          replan can reuse packed storage without invalidating the
          dataset the previous replan is still reading *)
   mutable turn : int;  (* which of [bufs] the next materialization fills *)
-  mutable ids : int array;  (* cached identity row ids for window views *)
 }
 
 let create schema ~capacity =
@@ -29,7 +28,6 @@ let create schema ~capacity =
     cached = None;
     bufs = [| [||]; [||] |];
     turn = 0;
-    ids = [||];
   }
 
 let capacity t = t.capacity
@@ -98,27 +96,8 @@ let to_dataset t =
       t.cached <- Some ds;
       ds
 
-let identity_ids t =
-  if Array.length t.ids <> t.size then t.ids <- Array.init t.size (fun i -> i);
-  t.ids
-
 let backend ?telemetry ?(spec = Backend.default_spec) t =
-  let ds = to_dataset t in
-  match spec.Backend.kind with
-  | Backend.Empirical ->
-      (* Zero-copy fast path: the view aliases the window's packed cell
-         buffer and the cached identity id array. *)
-      let b = Backend.of_view (View.of_rows ds (identity_ids t)) in
-      if spec.Backend.memoize then Backend.memo ?telemetry b else b
-  | Backend.Sampled { n; delta } ->
-      (* Zero-copy as well: the sampled backend draws from a view over
-         the window's packed buffer and maps positions to row ids. *)
-      let b =
-        Backend.sampled_of_view ~n ~delta (View.of_rows ds (identity_ids t))
-      in
-      if spec.Backend.memoize then Backend.memo ?telemetry b else b
-  | Backend.Dense | Backend.Chow_liu | Backend.Independence ->
-      Backend.of_dataset ?telemetry ~spec ds
+  Backend.of_dataset ?telemetry ~spec (to_dataset t)
 
 let estimator t = Estimator.empirical (to_dataset t)
 

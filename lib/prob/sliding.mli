@@ -66,17 +66,18 @@ val backend :
   ?telemetry:Acq_obs.Telemetry.t -> ?spec:Backend.spec -> t -> Backend.t
 (** Probability backend over the current window, built per [spec]
     (default {!Backend.default_spec}: empirical, no memo). The
-    empirical backend is fully zero-copy — it views the window's
-    packed cell buffer through a cached identity id array — so a
-    steady-state replan builds its statistics without allocating
-    proportionally to the window. The backend shares the buffer
-    lifetime of {!to_dataset}: valid through the next materialization,
-    stale after the one following it. *)
+    empirical and sampled backends count over a {!View} of the
+    materialization, whose {!Index} each call builds: [c / 63] words
+    per row for an attribute with [c] cuts (one per value below 64
+    values), so narrow domains cost less than a copy of the window.
+    They read only the index, so they stay valid after the window
+    moves on; the other models share the buffer lifetime of
+    {!to_dataset}. *)
 
 val estimator : t -> Estimator.t
 (** Empirical closure-record estimator over the current window;
-    legacy-compat wrapper over the same materialization (and the same
-    buffer lifetime) as {!backend}. *)
+    legacy-compat wrapper over the same materialization as
+    {!backend}. *)
 
 val drift : t -> reference:Acq_data.Dataset.t -> float
 (** Mean, over attributes, of the total-variation distance between

@@ -1,91 +1,79 @@
-type t = { data : Acq_data.Dataset.t; rows : int array }
+module Pred = Acq_plan.Predicate
+
+type t = {
+  data : Acq_data.Dataset.t;
+  index : Index.t;
+  bits : int array;
+  size : int;
+}
 
 let of_dataset data =
-  { data; rows = Array.init (Acq_data.Dataset.nrows data) (fun i -> i) }
-
-let of_rows data rows = { data; rows }
+  let n = Acq_data.Dataset.nrows data in
+  { data; index = Index.build data; bits = Bits.full n; size = n }
 
 let dataset t = t.data
+let size t = t.size
+let is_empty t = t.size = 0
 
-let row_id t i = t.rows.(i)
+let with_bits t bits =
+  let size = Array.fold_left (fun c x -> c + Bits.popcount x) 0 bits in
+  { t with bits; size }
 
-let size t = Array.length t.rows
-
-let is_empty t = Array.length t.rows = 0
+let select t pos =
+  let out = Array.make (Array.length t.bits) 0 in
+  let k = ref 0 and p = ref 0 in
+  let np = Array.length pos in
+  Bits.iter t.bits (fun r ->
+      if !k < np && pos.(!k) = !p then begin
+        Bits.set out r;
+        incr k
+      end;
+      incr p);
+  with_bits t out
 
 let filter t keep =
-  let n = Array.length t.rows in
-  let buf = Array.make n 0 in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    let r = t.rows.(i) in
-    if keep r then begin
-      buf.(!k) <- r;
-      incr k
-    end
-  done;
-  { data = t.data; rows = Array.sub buf 0 !k }
+  let out = Array.make (Array.length t.bits) 0 in
+  Bits.iter t.bits (fun r -> if keep r then Bits.set out r);
+  with_bits t out
 
-let restrict_range t ~attr range =
-  filter t (fun r ->
-      Acq_plan.Range.contains range (Acq_data.Dataset.get t.data r attr))
+let narrow t m ~inside =
+  if t.size = 0 then t
+  else
+    let bits, size = Bits.inter t.bits m ~inside in
+    { t with bits; size }
 
-let restrict_pred t (p : Acq_plan.Predicate.t) truth =
-  filter t (fun r ->
-      Acq_plan.Predicate.eval p (Acq_data.Dataset.get t.data r p.attr) = truth)
+let count t m ~inside = if t.size = 0 then 0 else Bits.count t.bits m ~inside
 
-let histogram t ~attr =
-  let schema = Acq_data.Dataset.schema t.data in
-  let k = (Acq_data.Schema.attr schema attr).domain in
-  let counts = Array.make k 0 in
-  Array.iter
-    (fun r ->
-      let v = Acq_data.Dataset.get t.data r attr in
-      counts.(v) <- counts.(v) + 1)
-    t.rows;
-  counts
+let range_mask t attr (r : Acq_plan.Range.t) =
+  Index.mask t.index ~attr ~lo:r.lo ~hi:r.hi
 
-let range_count t ~attr range =
-  let c = ref 0 in
-  Array.iter
-    (fun r ->
-      if Acq_plan.Range.contains range (Acq_data.Dataset.get t.data r attr)
-      then incr c)
-    t.rows;
-  !c
+let pred_mask t (p : Pred.t) = Index.mask t.index ~attr:p.attr ~lo:p.lo ~hi:p.hi
 
-let range_prob t ~attr range =
-  let n = size t in
-  if n = 0 then 0.0
-  else float_of_int (range_count t ~attr range) /. float_of_int n
+(* Rows where [p] evaluates to [truth] lie inside its band exactly
+   when polarity and truth agree. *)
+let pred_inside (p : Pred.t) truth = (p.polarity = Pred.Inside) = truth
+
+let restrict_range t ~attr r = narrow t (range_mask t attr r) ~inside:true
+
+let restrict_pred t p truth =
+  narrow t (pred_mask t p) ~inside:(pred_inside p truth)
+
+let histogram t ~attr = Index.histogram t.index ~attr t.bits
+let range_count t ~attr r = count t (range_mask t attr r) ~inside:true
+
+let ratio t c = if t.size = 0 then 0.0 else float_of_int c /. float_of_int t.size
+
+let range_prob t ~attr r = ratio t (range_count t ~attr r)
 
 let pred_prob t p =
-  let n = size t in
-  if n = 0 then 0.0
-  else begin
-    let c = ref 0 in
-    Array.iter
-      (fun r ->
-        if Acq_plan.Predicate.eval p (Acq_data.Dataset.get t.data r p.attr)
-        then incr c)
-      t.rows;
-    float_of_int !c /. float_of_int n
-  end
+  ratio t (count t (pred_mask t p) ~inside:(pred_inside p true))
 
 let pattern_counts t preds =
   let m = Array.length preds in
   if m > 20 then invalid_arg "View.pattern_counts: too many predicates";
-  let counts = Array.make (1 lsl m) 0 in
-  Array.iter
-    (fun r ->
-      let mask = ref 0 in
-      for j = 0 to m - 1 do
-        let p = preds.(j) in
-        if Acq_plan.Predicate.eval p (Acq_data.Dataset.get t.data r p.attr)
-        then mask := !mask lor (1 lsl j)
-      done;
-      counts.(!mask) <- counts.(!mask) + 1)
-    t.rows;
-  counts
+  if t.size = 0 then Array.make (1 lsl m) 0
+  else
+    Bits.pattern_counts t.bits
+      (Array.map (fun p -> (pred_mask t p, pred_inside p true)) preds)
 
-let iter t f = Array.iter f t.rows
+let iter t f = Bits.iter t.bits f

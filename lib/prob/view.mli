@@ -1,27 +1,35 @@
 (** A view is the subset of training tuples consistent with a
     subproblem's ranges — the paper's [D(R_1, ..., R_n)] (Section 5).
-    Conditional probabilities for planning are ratios of view sizes. *)
+    Conditional probabilities for planning are ratios of view sizes.
+
+    A view is a packed row set ({!Bits}) with its popcount, over one
+    immutable per-dataset {!Index} that every view derived from it
+    shares. A restriction is one AND pass over the words; a count is
+    one popcount pass. Views are immutable and hold no cache, so they
+    can be read from several domains at once. *)
 
 type t
 
 val of_dataset : Acq_data.Dataset.t -> t
-(** All rows. *)
-
-val of_rows : Acq_data.Dataset.t -> int array -> t
-(** Explicit row-id set (ascending ids expected). *)
+(** All rows; builds the dataset's index. *)
 
 val dataset : t -> Acq_data.Dataset.t
 
-val row_id : t -> int -> int
-(** [row_id v i] is the dataset row id at position [i] of the view
-    (positions run [0 .. size v - 1] in view order). The sampled
-    backend uses it to map sampled view positions back to row ids. *)
-
 val size : t -> int
+(** O(1). *)
+
 val is_empty : t -> bool
 
+val select : t -> int array -> t
+(** [select v pos]: the rows at strictly ascending positions [pos]
+    (each in [0 .. size v - 1]) of [v] in row order, sharing [v]'s
+    index. The sampled backend draws its samples this way. *)
+
+val filter : t -> (int -> bool) -> t
+(** Rows of the view whose row id satisfies the test. *)
+
 val restrict_range : t -> attr:int -> Acq_plan.Range.t -> t
-(** Rows whose [attr] lies in the range; O(size). *)
+(** Rows whose [attr] lies in the range. *)
 
 val restrict_pred : t -> Acq_plan.Predicate.t -> bool -> t
 (** Rows on which the predicate evaluates to the given truth value. *)
@@ -45,4 +53,4 @@ val pattern_counts : t -> Acq_plan.Predicate.t array -> int array
     Section 4.1.2 / 5.2. *)
 
 val iter : t -> (int -> unit) -> unit
-(** Iterate row ids in view order. *)
+(** Iterate row ids in ascending order. *)

@@ -665,19 +665,19 @@ let test_adaptive_quiet_on_stationary () =
     <= 0.005 *. static_r.Rt.a_total_energy)
 
 let test_replan_buffer_reuse () =
-  (* The replanning hot path (Sliding.backend) must not rebuild the
-     window's statistics storage: once the two rotating cell buffers
-     and the identity-id array are warm, each push + backend cycle
-     allocates only the view/backend wrappers. Copying the window
-     instead would cost capacity * arity boxed ints (>= 64 KiB here)
-     per replan. *)
+  (* The replanning hot path (Sliding.backend) must not copy the
+     window: once the two rotating cell buffers are warm, each push +
+     backend cycle allocates only the view's bitset index (one 66-word
+     row set per cut of each 2-value attribute) and the backend
+     wrappers. Copying the window instead would cost capacity * arity
+     boxed ints (>= 64 KiB here) per replan. *)
   let module Sl = Acq_prob.Sliding in
   let schema = drift_schema () in
   let w = Sl.create schema ~capacity:4_096 in
   for i = 0 to 4_095 do
     Sl.push w (phase_a_row i)
   done;
-  (* Warm both buffers and the cached id array. *)
+  (* Warm both buffers. *)
   for i = 0 to 2 do
     Sl.push w (phase_a_row i);
     ignore (Sl.backend w)

@@ -400,16 +400,14 @@ let test_audited_sweep_zero_alloc () =
   let auto = Compile.compile q plan in
   let b = Batch.create ~costs auto in
   let probe = Probe.create auto in
-  let cols = DS.columns ds in
-  let nrows = DS.nrows ds in
   let sink = ref 0.0 in
   for _ = 1 to 3 do
-    sink := !sink +. Batch.sweep_columns ~probe b cols ~nrows
+    sink := !sink +. Batch.average_cost ~probe b ds
   done;
   let cycles = 40 in
   let before = Gc.allocated_bytes () in
   for _ = 1 to cycles do
-    sink := !sink +. Batch.sweep_columns ~probe b cols ~nrows
+    sink := !sink +. Batch.average_cost ~probe b ds
   done;
   let per_cycle = (Gc.allocated_bytes () -. before) /. float_of_int cycles in
   Alcotest.(check bool)

@@ -309,8 +309,11 @@ let build_diff_instance seed =
   in
   (ds, Q.create schema preds)
 
+(* The closure side plans over the row-scan reference view (Ref_view),
+   so the backend and memo sides, which share the packed bitset view,
+   are each checked against an independent oracle. *)
 let test_differential () =
-  let algs = [ P.Naive; P.Corr_seq; P.Heuristic; P.Exhaustive ] in
+  let algs = [ P.Naive; P.Corr_seq; P.Heuristic; P.Exhaustive; P.Pac ] in
   for seed = 0 to 49 do
     let ds, q = build_diff_instance (1000 + seed) in
     let costs = S.costs (DS.schema ds) in
@@ -321,7 +324,7 @@ let test_differential () =
         in
         let r_seed =
           P.plan_with_estimator ~options:diff_options alg q ~costs
-            (E.empirical ds)
+            (Ref_view.estimator (Ref_view.of_dataset ds))
         in
         let r_back =
           P.plan_with_backend ~options:diff_options alg q ~costs

@@ -283,9 +283,10 @@ let test_columns_after_sliding_rotation () =
 
 let test_sweep_zero_alloc () =
   (* The batched hot loop must not allocate per tuple: once the batch
-     state and the columnar snapshot are in hand, a full sweep costs a
-     handful of words (the sweep closure and instrument lookup), not
-     O(rows). 400 rows of boxed outcomes would be tens of KiB. *)
+     state is in hand, a full sweep costs a handful of words (the
+     sweep closure and instrument lookup), not O(rows). 400 rows of
+     boxed outcomes, or a columnar copy of the data, would be tens of
+     KiB. *)
   let ds, q =
     build_instance
       { seed = 11; n_attrs = 4; domains = [| 4; 3; 5; 2 |];
@@ -294,16 +295,14 @@ let test_sweep_zero_alloc () =
   let costs = S.costs (DS.schema ds) in
   let plan = (P.plan ~options P.Heuristic q ~train:ds).P.plan in
   let b = Batch.create ~costs (Compile.compile q plan) in
-  let cols = DS.columns ds in
-  let nrows = DS.nrows ds in
   let sink = ref 0.0 in
   for _ = 1 to 3 do
-    sink := !sink +. Batch.sweep_columns b cols ~nrows
+    sink := !sink +. Batch.average_cost b ds
   done;
   let cycles = 40 in
   let before = Gc.allocated_bytes () in
   for _ = 1 to cycles do
-    sink := !sink +. Batch.sweep_columns b cols ~nrows
+    sink := !sink +. Batch.average_cost b ds
   done;
   let per_cycle = (Gc.allocated_bytes () -. before) /. float_of_int cycles in
   Alcotest.(check bool)
@@ -325,7 +324,7 @@ let test_mode_strings () =
   (match Mode.of_string "quantum" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted junk mode");
-  Alcotest.(check bool) "default is tree" true (Mode.default = Mode.Tree)
+  Alcotest.(check bool) "default is compiled" true (Mode.default = Mode.Compiled)
 
 let test_runner_modes_agree () =
   let ds, q =

@@ -1,4 +1,4 @@
-(* Unit tests for Acq_prob: indexes, views, histograms, mutual
+(* Unit tests for Acq_prob: indexes, views, mutual
    information, the Chow-Liu model, and the estimator abstraction. *)
 
 module Rng = Acq_util.Rng
@@ -8,7 +8,6 @@ module A = Acq_data.Attribute
 module R = Acq_plan.Range
 module Pred = Acq_plan.Predicate
 module V = Acq_prob.View
-module H = Acq_prob.Histogram
 module E = Acq_prob.Estimator
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -42,12 +41,20 @@ let mk_dataset () =
 let test_index_counts () =
   let ds = mk_dataset () in
   let idx = Acq_prob.Index.build ds in
-  Alcotest.(check (array int)) "rows with a=1" [| 1; 5 |]
-    (Acq_prob.Index.rows_with_value idx ~attr:0 ~value:1);
+  let rows_of (m : Acq_prob.Bits.mask) =
+    List.filter
+      (fun r ->
+        Acq_prob.Bits.mem m.upper r && not (Acq_prob.Bits.mem m.lower r))
+      (List.init (DS.nrows ds) Fun.id)
+  in
+  Alcotest.(check (list int)) "rows with a=1" [ 1; 5 ]
+    (rows_of (Acq_prob.Index.mask idx ~attr:0 ~lo:1 ~hi:1));
   Alcotest.(check int) "count a in [1,2]" 4
     (Acq_prob.Index.count_in_range idx ~attr:0 (R.make 1 2));
-  Alcotest.(check (array int)) "rows a in [1,2]" [| 1; 2; 5; 6 |]
-    (Acq_prob.Index.rows_in_range idx ~attr:0 (R.make 1 2))
+  Alcotest.(check (list int)) "rows a in [1,2]" [ 1; 2; 5; 6 ]
+    (rows_of (Acq_prob.Index.mask idx ~attr:0 ~lo:1 ~hi:2));
+  Alcotest.(check (list int)) "bounds clamp to the domain" [ 2; 3; 6; 7 ]
+    (rows_of (Acq_prob.Index.mask idx ~attr:0 ~lo:2 ~hi:9))
 
 let test_index_matches_scan () =
   let rng = Rng.create 1 in
@@ -121,31 +128,126 @@ let test_view_pattern_counts () =
   Alcotest.(check int) "pattern 11" 3 counts.(3)
 
 (* ------------------------------------------------------------------ *)
-(* Histogram *)
+(* Bitset view vs the row-scan reference view (Ref_view): every count
+   must be the same integer and every probability the same float, on
+   random restriction chains with sampled sub-views mixed in. Row
+   counts straddle the 63-row word boundaries; domains mix exact
+   attributes (under 64 values, a cut at every value) with wide ones
+   (quantile cuts plus the sorted residual, up to 4096 values); bounds
+   may overhang the domain; a hot value per attribute gives some
+   quantile buckets one heavy value. *)
 
-let test_histogram_eq7 () =
-  let h = H.of_counts [| 2; 3; 0; 5 |] in
-  Alcotest.(check int) "total" 10 (H.total h);
-  check_float "prob of 1" 0.3 (H.prob h 1);
-  check_float "P(<2)" 0.5 (H.prob_below h 2);
-  (* Equation (7): P(< x+1) = P(< x) + P(x). *)
-  for x = 0 to 3 do
-    check_float "incremental rule"
-      (H.prob_below h x +. H.prob h x)
-      (H.prob_below h (x + 1))
+let prop_view_matches_oracle =
+  let gen =
+    QCheck2.Gen.(
+      pair (oneofl [ 0; 1; 61; 62; 63; 64; 125; 1000; 1201 ]) (int_bound 1_000_000))
+  in
+  QCheck2.Test.make ~count:150 ~name:"bitset view = row-scan view, exactly"
+    ~print:(fun (rows, seed) -> Printf.sprintf "rows=%d seed=%d" rows seed)
+    gen
+  @@ fun (rows, seed) ->
+  let rng = Rng.create seed in
+  let domains =
+    Array.init (1 + Rng.int rng 3) (fun _ ->
+        Rng.pick rng [| 2; 3; 7; 32; 63; 64; 65; 200; 4096 |])
+  in
+  let schema =
+    S.create
+      (List.mapi
+         (fun a k -> A.discrete ~name:(Printf.sprintf "x%d" a) ~cost:1.0 ~domain:k)
+         (Array.to_list domains))
+  in
+  let hot = Array.map (fun k -> Rng.int rng k) domains in
+  let ds =
+    DS.create schema
+      (Array.init rows (fun _ ->
+           Array.mapi
+             (fun a k -> if Rng.bernoulli rng 0.3 then hot.(a) else Rng.int rng k)
+             domains))
+  in
+  let n_attrs = Array.length domains in
+  let bounds a =
+    let k = domains.(a) in
+    let lo = Rng.int rng (k + 3) - 2 in
+    (lo, lo + Rng.int rng (k + 2))
+  in
+  let pred a =
+    let lo, hi = bounds a in
+    if Rng.bool rng then Pred.inside ~attr:a ~lo ~hi
+    else Pred.outside ~attr:a ~lo ~hi
+  in
+  let same what a b = if a <> b then QCheck2.Test.fail_reportf "%s differs" what in
+  let compare_views v o =
+    same "size" (V.size v) (Ref_view.size o);
+    same "is_empty" (V.is_empty v) (Ref_view.is_empty o);
+    for a = 0 to n_attrs - 1 do
+      same "histogram" (V.histogram v ~attr:a) (Ref_view.histogram o ~attr:a);
+      let lo, hi = bounds a in
+      let r = R.make lo hi in
+      same "range_count" (V.range_count v ~attr:a r) (Ref_view.range_count o ~attr:a r);
+      same "range_prob" (V.range_prob v ~attr:a r) (Ref_view.range_prob o ~attr:a r)
+    done;
+    (* Up to 6 predicates; the second shares the first's attribute. *)
+    let m = Rng.int rng 7 in
+    let first = Rng.int rng n_attrs in
+    let preds =
+      Array.init m (fun j -> pred (if j <= 1 then first else Rng.int rng n_attrs))
+    in
+    Array.iter (fun p -> same "pred_prob" (V.pred_prob v p) (Ref_view.pred_prob o p)) preds;
+    same "pattern_counts" (V.pattern_counts v preds) (Ref_view.pattern_counts o preds)
+  in
+  let v = ref (V.of_dataset ds) and o = ref (Ref_view.of_dataset ds) in
+  compare_views !v !o;
+  for _ = 1 to 4 do
+    (match Rng.int rng 3 with
+    | 0 ->
+        let a = Rng.int rng n_attrs in
+        let lo, hi = bounds a in
+        v := V.restrict_range !v ~attr:a (R.make lo hi);
+        o := Ref_view.restrict_range !o ~attr:a (R.make lo hi)
+    | 1 ->
+        let p = pred (Rng.int rng n_attrs) and truth = Rng.bool rng in
+        v := V.restrict_pred !v p truth;
+        o := Ref_view.restrict_pred !o p truth
+    | _ ->
+        (* A sampled sub-view, possibly empty. *)
+        let size = V.size !v in
+        let pos = Rng.sample_without_replacement rng (Rng.int rng (size + 1)) size in
+        Array.sort Int.compare pos;
+        v := V.select !v pos;
+        o := Ref_view.of_rows ds (Array.map (Ref_view.row_id !o) pos));
+    compare_views !v !o
   done;
-  check_float "range" 0.8 (H.prob_range h (R.make 1 3));
-  Alcotest.(check int) "count range" 8 (H.count_range h (R.make 1 3))
+  true
 
-let test_histogram_of_view () =
-  let ds = mk_dataset () in
-  let h = H.of_view (V.of_dataset ds) ~attr:1 in
-  check_float "matches view histogram" (3.0 /. 8.0) (H.prob h 0)
-
-let test_histogram_empty () =
-  let h = H.of_counts [| 0; 0 |] in
-  check_float "prob on empty" 0.0 (H.prob h 0);
-  check_float "range on empty" 0.0 (H.prob_range h (R.make 0 1))
+(* The index over a 4096-value attribute stays within the bound
+   Index documents: linear in rows, whatever the domain. *)
+let test_index_memory_bound () =
+  let rows = 5_000 in
+  let rng = Rng.create 4 in
+  let schema =
+    S.create
+      [
+        A.discrete ~name:"wide" ~cost:1.0 ~domain:4096;
+        A.discrete ~name:"narrow" ~cost:1.0 ~domain:32;
+      ]
+  in
+  let ds =
+    DS.create schema
+      (Array.init rows (fun _ -> [| Rng.int rng 4096; Rng.int rng 32 |]))
+  in
+  let idx = Acq_prob.Index.build ds in
+  let cuts = Acq_prob.Index.max_cuts in
+  let per_attr = (cuts * (Acq_prob.Bits.words rows + 1)) + (2 * rows) + (3 * cuts) in
+  let bound = (2 * per_attr) + 4 in
+  let used = Obj.reachable_words (Obj.repr idx) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d words <= bound %d" used bound)
+    true (used <= bound);
+  (* One bitset per value would be 4096 * words rows for the wide
+     attribute alone. *)
+  Alcotest.(check bool) "far below a per-value index" true
+    (used * 10 < 4096 * Acq_prob.Bits.words rows)
 
 (* ------------------------------------------------------------------ *)
 (* Mutual information *)
@@ -415,6 +517,7 @@ let () =
         [
           Alcotest.test_case "counts" `Quick test_index_counts;
           Alcotest.test_case "matches scan" `Quick test_index_matches_scan;
+          Alcotest.test_case "memory bound" `Quick test_index_memory_bound;
         ] );
       ( "view",
         [
@@ -424,12 +527,7 @@ let () =
           Alcotest.test_case "histogram" `Quick test_view_histogram;
           Alcotest.test_case "probabilities" `Quick test_view_probs;
           Alcotest.test_case "pattern counts" `Quick test_view_pattern_counts;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "equation 7" `Quick test_histogram_eq7;
-          Alcotest.test_case "of view" `Quick test_histogram_of_view;
-          Alcotest.test_case "empty" `Quick test_histogram_empty;
+          QCheck_alcotest.to_alcotest prop_view_matches_oracle;
         ] );
       ( "mutual_info",
         [

@@ -250,36 +250,6 @@ let prop_predicate_truth_sound =
           List.exists (Pred.eval p) vals
           && List.exists (fun v -> not (Pred.eval p v)) vals)
 
-(* Histogram prefix sums. *)
-let prop_histogram_ranges =
-  QCheck2.Gen.(list_size (int_range 2 12) (int_range 0 50)) |> fun gen ->
-  QCheck2.Test.make ~count:300 ~name:"histogram range = sum of value probs" gen
-    (fun counts ->
-      let counts = Array.of_list counts in
-      let h = Acq_prob.Histogram.of_counts counts in
-      let k = Array.length counts in
-      let total = Acq_util.Array_util.sum_int counts in
-      if total = 0 then Acq_prob.Histogram.prob_range h (R.make 0 (k - 1)) = 0.0
-      else begin
-        let ok = ref true in
-        for lo = 0 to k - 1 do
-          for hi = lo to k - 1 do
-            let direct =
-              let s = ref 0 in
-              for v = lo to hi do
-                s := !s + counts.(v)
-              done;
-              float_of_int !s /. float_of_int total
-            in
-            if
-              Float.abs (Acq_prob.Histogram.prob_range h (R.make lo hi) -. direct)
-              > 1e-9
-            then ok := false
-          done
-        done;
-        !ok
-      end)
-
 (* Stats sanity. *)
 let prop_percentile_bounds =
   QCheck2.Gen.(
@@ -738,7 +708,6 @@ let () =
       ( "foundations",
         List.map to_alcotest
           [
-            prop_histogram_ranges;
             prop_percentile_bounds;
             prop_rng_sample_distinct;
             prop_csv_roundtrip;
